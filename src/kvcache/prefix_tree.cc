@@ -1,5 +1,6 @@
 #include "kvcache/prefix_tree.h"
 
+#include <cstring>
 #include <stdexcept>
 #include <string>
 
@@ -7,19 +8,28 @@ namespace specontext {
 namespace kv {
 
 /**
- * One cached block. Children are keyed by their block's token content
- * (std::map, so traversal order is deterministic); the key doubles as
- * the stored tokens, which a simulator never needs to read back.
+ * One cached block: its own token ids, an unordered child list (a
+ * lookup scans it on the first token and confirms with memcmp), and
+ * its slot in the evictable-leaf heap.
  */
 struct PrefixTree::Node
 {
+    struct Child
+    {
+        int32_t first; ///< child->tokens[0], kept here for the scan
+        Node *node;
+    };
+
     Node *parent = nullptr;
     /** Raw pointers: node lifetime is owned by the tree's Pool, so
-     *  eviction recycles slots instead of freeing them. */
-    std::map<std::vector<int32_t>, Node *> children;
+     *  eviction recycles slots instead of freeing them. Siblings
+     *  always hold distinct blocks. */
+    std::vector<Child> children;
+    std::vector<int32_t> tokens; ///< this block's page_size token ids
     int64_t refcount = 0;     ///< in-flight requests pinning this block
     uint64_t last_use = 0;    ///< lru_clock_ at the last release
     int64_t depth_tokens = 0; ///< tokens from root through this block
+    int64_t heap_pos = -1;    ///< index in heap_; -1 when not evictable
 };
 
 PrefixTree::PrefixTree(PrefixTreeConfig cfg) : cfg_(cfg)
@@ -37,15 +47,13 @@ PrefixTree::PrefixTree(PrefixTreeConfig cfg) : cfg_(cfg)
 
 PrefixTree::~PrefixTree()
 {
-    // Nodes own heap state (the children map keys), so each must be
-    // destroyed through the pool — iteratively, to keep deep chains
-    // off the call stack.
+    // Iterative, to keep deep chains off the call stack.
     std::vector<Node *> stack = {root_};
     while (!stack.empty()) {
         Node *n = stack.back();
         stack.pop_back();
-        for (auto &kv_pair : n->children)
-            stack.push_back(kv_pair.second);
+        for (const Node::Child &c : n->children)
+            stack.push_back(c.node);
         freeNode(n);
     }
 }
@@ -82,23 +90,32 @@ PrefixTree::setObserver(const PrefixTreeObserver &observer)
     }
 }
 
-void
+PrefixTree::Node *
 PrefixTree::walkMatch(const std::vector<int32_t> &tokens,
-                      std::vector<Node *> &path) const
+                      std::vector<Node *> *path) const
 {
-    const Node *node = root_;
+    Node *node = root_;
     const int64_t full_blocks =
         static_cast<int64_t>(tokens.size()) / cfg_.page_size;
-    std::vector<int32_t> block(static_cast<size_t>(cfg_.page_size));
+    const size_t id_bytes =
+        static_cast<size_t>(cfg_.page_size) * sizeof(int32_t);
     for (int64_t b = 0; b < full_blocks; ++b) {
-        const auto begin = tokens.begin() + b * cfg_.page_size;
-        block.assign(begin, begin + cfg_.page_size);
-        const auto it = node->children.find(block);
-        if (it == node->children.end())
+        const int32_t *block = tokens.data() + b * cfg_.page_size;
+        Node *next = nullptr;
+        for (const Node::Child &c : node->children) {
+            if (c.first == block[0] &&
+                std::memcmp(c.node->tokens.data(), block, id_bytes) == 0) {
+                next = c.node;
+                break;
+            }
+        }
+        if (!next)
             break;
-        node = it->second;
-        path.push_back(const_cast<Node *>(node));
+        node = next;
+        if (path)
+            path->push_back(node);
     }
+    return node;
 }
 
 PrefixMatch
@@ -107,9 +124,7 @@ PrefixTree::match(const std::vector<int32_t> &tokens) const
     PrefixMatch m;
     if (!enabled())
         return m;
-    std::vector<Node *> path;
-    walkMatch(tokens, path);
-    m.hit_tokens = path.empty() ? 0 : path.back()->depth_tokens;
+    m.hit_tokens = walkMatch(tokens, nullptr)->depth_tokens;
     m.reserved_bytes = m.hit_tokens * cfg_.bytes_per_token;
     return m;
 }
@@ -132,7 +147,7 @@ PrefixTree::matchAndPin(
     std::vector<Node *> path;
     bool walked = false;
     if (enabled()) {
-        walkMatch(tokens, path);
+        walkMatch(tokens, &path);
         walked = true;
         out.estimate.hit_tokens =
             path.empty() ? 0 : path.back()->depth_tokens;
@@ -151,7 +166,7 @@ PrefixTree::matchAndPin(
     // walk 1 never ran (the callback may just have revived it).
     if (!walked || eviction_epoch_ != epoch) {
         path.clear();
-        walkMatch(tokens, path);
+        walkMatch(tokens, &path);
     }
     out.match.hit_tokens = path.empty() ? 0 : path.back()->depth_tokens;
     out.match.reserved_bytes =
@@ -163,6 +178,8 @@ PrefixTree::matchAndPin(
         if (n->refcount == 0)
             pinned_tokens_ += cfg_.page_size;
         ++n->refcount;
+        if (n->heap_pos >= 0)
+            heapErase(n); // pinned: no longer evictable
     }
     Node *node = path.empty() ? root_ : path.back();
     const int64_t matched_blocks =
@@ -170,7 +187,6 @@ PrefixTree::matchAndPin(
     const int64_t full_blocks =
         static_cast<int64_t>(tokens.size()) / cfg_.page_size;
     const int64_t block_bytes = cfg_.page_size * cfg_.bytes_per_token;
-    std::vector<int32_t> block(static_cast<size_t>(cfg_.page_size));
     for (int64_t b = matched_blocks; b < full_blocks; ++b) {
         // New block: make room first. Nodes on the pinned path
         // (including everything this walk already pinned) have
@@ -181,12 +197,15 @@ PrefixTree::matchAndPin(
         }
         if (bytes() + block_bytes > cfg_.budget_bytes)
             break; // budget exhausted; pin what we have
+        // `node` is pinned (or the root), so never in the heap; the
+        // new child is pinned below, so it does not enter it either.
         const auto begin = tokens.begin() + b * cfg_.page_size;
-        block.assign(begin, begin + cfg_.page_size);
         Node *child = newNode();
         child->parent = node;
         child->depth_tokens = node->depth_tokens + cfg_.page_size;
-        node = node->children.emplace(block, child).first->second;
+        child->tokens.assign(begin, begin + cfg_.page_size);
+        node->children.push_back({child->tokens[0], child});
+        node = child;
         resident_tokens_ += cfg_.page_size;
         inserted_tokens_ += cfg_.page_size;
         ++node_count_;
@@ -210,8 +229,10 @@ PrefixTree::release(PrefixHandle &handle)
         return;
     // One stamp per release keeps whole paths ordered: deeper nodes
     // share the stamp, and leaves are evicted before their parents
-    // regardless.
+    // regardless. Every node on the path was pinned, so none is in
+    // the heap while its stamp changes.
     const uint64_t stamp = ++lru_clock_;
+    Node *const deepest = node;
     for (; node != root_; node = node->parent) {
         if (node->refcount <= 0)
             throw std::logic_error("PrefixTree: release without pin");
@@ -220,6 +241,10 @@ PrefixTree::release(PrefixHandle &handle)
             pinned_tokens_ -= cfg_.page_size;
         node->last_use = stamp;
     }
+    // Only the deepest node can have become evictable: each ancestor
+    // still has a child on the released path.
+    if (deepest->refcount == 0 && deepest->children.empty())
+        heapPush(deepest);
     enforceBudget();
 }
 
@@ -238,30 +263,22 @@ PrefixTree::setBudget(int64_t budget_bytes)
 bool
 PrefixTree::evictOne()
 {
-    // Deterministic full-tree scan for the unreferenced leaf with the
-    // oldest release stamp (strict <, and children are visited in
-    // token order, so ties — impossible under the unique stamps, but
-    // cheap to make explicit — keep the first visited). O(nodes) per
-    // eviction is fine at simulator scale.
-    Node *victim = nullptr;
-    std::vector<Node *> stack = {root_};
-    while (!stack.empty()) {
-        Node *n = stack.back();
-        stack.pop_back();
-        for (auto &kv_pair : n->children)
-            stack.push_back(kv_pair.second);
-        if (n == root_ || n->refcount > 0 || !n->children.empty())
-            continue;
-        if (!victim || n->last_use < victim->last_use)
-            victim = n;
-    }
-    if (!victim)
+    // The victim is the unreferenced leaf with the oldest release
+    // stamp: the heap minimum. No two heap members share a stamp —
+    // the nodes stamped s all lie on the one path released with s,
+    // minus anything restamped or evicted since, which leaves a
+    // chain with at most one leaf — so the minimum is unique and the
+    // choice depends neither on child order nor on a tie-break.
+    if (heap_.empty())
         return false;
+    Node *victim = heap_.front();
+    heapErase(victim);
     Node *parent = victim->parent;
-    for (auto it = parent->children.begin(); it != parent->children.end();
-         ++it) {
-        if (it->second == victim) {
-            parent->children.erase(it);
+    std::vector<Node::Child> &siblings = parent->children;
+    for (size_t i = 0; i < siblings.size(); ++i) {
+        if (siblings[i].node == victim) {
+            siblings[i] = siblings.back();
+            siblings.pop_back();
             break;
         }
     }
@@ -275,7 +292,69 @@ PrefixTree::evictOne()
     OBS_EVENT(observer_.trace, obs::EventType::PrefixEvict,
               observer_.clock ? *observer_.clock : 0.0,
               observer_.replica, -1, cfg_.page_size, resident_tokens_);
+    // The parent may just have become an unpinned leaf.
+    if (parent != root_ && parent->refcount == 0 &&
+        parent->children.empty())
+        heapPush(parent);
     return true;
+}
+
+void
+PrefixTree::heapPush(Node *n)
+{
+    n->heap_pos = static_cast<int64_t>(heap_.size());
+    heap_.push_back(n);
+    heapSiftUp(heap_.size() - 1);
+}
+
+void
+PrefixTree::heapErase(Node *n)
+{
+    const size_t i = static_cast<size_t>(n->heap_pos);
+    n->heap_pos = -1;
+    Node *last = heap_.back();
+    heap_.pop_back();
+    if (last == n)
+        return;
+    heap_[i] = last;
+    last->heap_pos = static_cast<int64_t>(i);
+    heapSiftUp(i);
+    heapSiftDown(static_cast<size_t>(last->heap_pos));
+}
+
+void
+PrefixTree::heapSiftUp(size_t i)
+{
+    Node *n = heap_[i];
+    while (i > 0) {
+        const size_t up = (i - 1) / 2;
+        if (heap_[up]->last_use < n->last_use)
+            break;
+        heap_[i] = heap_[up];
+        heap_[i]->heap_pos = static_cast<int64_t>(i);
+        i = up;
+    }
+    heap_[i] = n;
+    n->heap_pos = static_cast<int64_t>(i);
+}
+
+void
+PrefixTree::heapSiftDown(size_t i)
+{
+    Node *n = heap_[i];
+    const size_t size = heap_.size();
+    for (size_t down = 2 * i + 1; down < size; down = 2 * i + 1) {
+        if (down + 1 < size &&
+            heap_[down + 1]->last_use < heap_[down]->last_use)
+            ++down;
+        if (n->last_use < heap_[down]->last_use)
+            break;
+        heap_[i] = heap_[down];
+        heap_[i]->heap_pos = static_cast<int64_t>(i);
+        i = down;
+    }
+    heap_[i] = n;
+    n->heap_pos = static_cast<int64_t>(i);
 }
 
 void

@@ -24,22 +24,27 @@
  *    request and freeing them would fabricate memory.
  *  - release(handle) unpins the path and stamps it with a logical
  *    LRU timestamp; unreferenced leaves are then evictable,
- *    bottom-up, least-recently-released first.
+ *    bottom-up, least-recently-released first. Evictable leaves sit
+ *    in an indexed min-heap keyed by that stamp, so admission,
+ *    release and each eviction cost O(log n) in the cached blocks,
+ *    never a scan of the tree.
  *  - setBudget() re-clamps the budget (the serving layer shrinks it
  *    to the HBM headroom left by live KV reservations, priced through
  *    sim::MemoryModel); shrinking evicts unreferenced subtrees
  *    immediately. Budget 0 disables the cache entirely.
  *
- * Everything is deterministic: children are kept in token-content
- * order and LRU stamps come from a logical counter, so identical
- * operation sequences give identical trees, matches and evictions.
+ * Everything is deterministic: LRU stamps come from a logical counter
+ * and no two evictable leaves ever share one (see evictOne()), so the
+ * victim never depends on how children are stored — they are kept
+ * unordered — and identical operation sequences give identical trees,
+ * matches and evictions.
  */
 #pragma once
 
 #include <cstdint>
 #include <functional>
-#include <map>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "obs/counters.h"
@@ -96,6 +101,24 @@ class PrefixHandle
 {
   public:
     PrefixHandle() = default;
+
+    /** A move clears the source, so releasing a moved-from handle is
+     *  a no-op. Copies are still allowed (the benchmark's prefix-tree
+     *  replay, specbench/src/fleet.cc, copy-assigns one), but a copy
+     *  is a second live handle on the same pin: release only one. */
+    PrefixHandle(const PrefixHandle &) = default;
+    PrefixHandle &operator=(const PrefixHandle &) = default;
+    PrefixHandle(PrefixHandle &&other) noexcept { *this = std::move(other); }
+    PrefixHandle &operator=(PrefixHandle &&other) noexcept
+    {
+        if (this == &other)
+            return *this;
+        node_ = other.node_;
+        pinned_tokens_ = other.pinned_tokens_;
+        other.node_ = nullptr;
+        other.pinned_tokens_ = 0;
+        return *this;
+    }
 
     /** Tokens of the path this handle pins (block-aligned). */
     int64_t pinnedTokens() const { return pinned_tokens_; }
@@ -233,7 +256,8 @@ class PrefixTree
 
     PrefixTreeConfig cfg_;
     /** All nodes (root included) live in the pool; eviction recycles
-     *  their slots, so steady-state block churn never mallocs. */
+     *  their slots, so steady-state block churn reuses node storage
+     *  instead of going to the allocator. */
     std::unique_ptr<util::Pool<Node>> pool_;
     Node *root_ = nullptr;
     int64_t resident_tokens_ = 0;
@@ -246,6 +270,10 @@ class PrefixTree
      *  a node path held across the resize callback may have become
      *  stale and must be re-walked. */
     uint64_t eviction_epoch_ = 0;
+    /** Binary min-heap on Node::last_use of the evictable nodes; a
+     *  node is here exactly when it is non-root, unpinned
+     *  (refcount 0) and childless. Node::heap_pos is its index. */
+    std::vector<Node *> heap_;
     PrefixTreeObserver observer_;
     obs::CounterRegistry::Handle evicted_counter_ = 0;
 
@@ -253,10 +281,11 @@ class PrefixTree
     Node *newNode();
     void freeNode(Node *n);
 
-    /** Walk the cached block-aligned prefix of `tokens`, appending the
-     *  matched nodes (root excluded) to `path`. */
-    void walkMatch(const std::vector<int32_t> &tokens,
-                   std::vector<Node *> &path) const;
+    /** Walk the cached block-aligned prefix of `tokens`; returns the
+     *  deepest matched node (root_ when nothing matched) and, when
+     *  `path` is given, appends the matched nodes (root excluded). */
+    Node *walkMatch(const std::vector<int32_t> &tokens,
+                    std::vector<Node *> *path) const;
 
     /** Evict unreferenced LRU leaves until bytes() <= budget. */
     void enforceBudget();
@@ -264,6 +293,12 @@ class PrefixTree
     /** Evict the least-recently-released unreferenced leaf; false when
      *  nothing is evictable. */
     bool evictOne();
+
+    // Indexed-heap maintenance (heap_ / Node::heap_pos).
+    void heapPush(Node *n);
+    void heapErase(Node *n);
+    void heapSiftUp(size_t i);
+    void heapSiftDown(size_t i);
 };
 
 } // namespace kv

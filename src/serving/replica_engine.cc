@@ -389,7 +389,7 @@ ReplicaEngine::admitThroughPrefixCache(Request &r)
     // the request id — duplicate ids in a degenerate trace must not
     // cross-release each other's live pins.
     r.prefix_pin_slot = next_pin_slot_++;
-    prefix_pins_.emplace_back(r.prefix_pin_slot, pin.handle);
+    prefix_pins_.emplace_back(r.prefix_pin_slot, std::move(pin.handle));
     r.cached_prompt_len = hit;
     return hit;
 }

@@ -8,10 +8,11 @@
  *
  * Determinism note: the pool changes only *where* objects live, never
  * what they contain or in which order the owning data structure visits
- * them — every container built on it keys by content (token blocks,
- * arrival times, ids), not by address — so pooled and heap-allocated
- * runs are bit-identical. Not thread-safe; one pool per owning
- * structure, same as the structures themselves.
+ * them — every container built on it orders by content or history
+ * (token blocks, release stamps, arrival times, ids), never by
+ * address — so pooled and heap-allocated runs are bit-identical. Not
+ * thread-safe; one pool per owning structure, same as the structures
+ * themselves.
  */
 #pragma once
 

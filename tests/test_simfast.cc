@@ -316,8 +316,11 @@ TEST(SimFast, PooledAndHeapPrefixTreeBitIdentical)
     const ClusterResult heap =
         runFleet(engine, heap_cfg, trace, true, true);
     ASSERT_GT(pooled.completed(), 0);
-    // The cache did real work, so the pool was actually exercised.
+    // The cache did real work, so the pool was actually exercised:
+    // insertions, and evictions through the heap and the pool's
+    // recycle path.
     EXPECT_GT(pooled.fleet.prefix.inserted_tokens, 0);
+    EXPECT_GT(pooled.fleet.prefix.evicted_tokens, 0);
     expectSameSimulation(pooled, heap);
 }
 
