@@ -6,43 +6,37 @@
  * One 16-replica fleet (A800 8B SpeContext, LeastKvLoad routing)
  * serves diurnal traces (mean 8 req/s, 4:1 peak:trough) at two
  * scales — the base sweep (default 100k requests) and a 10x
- * million-request sweep — in several engine modes:
+ * million-request sweep — in two engine modes:
  *
- *   legacy   — skip-ahead off: one scheduling round per event-loop
- *              iteration, the pre-fast-path execution model;
- *   fast     — skip-ahead on, single-threaded: each fired replica
- *              runs its whole pure-decode window in one step() call;
- *   parallel — skip-ahead on, N worker threads: era stepping walks
- *              every eligible pure-decode lane through its window per
- *              booking scan, sharded across the pool (inline on a
- *              single-core host — the era structure is the win);
- *   sharded  — era stepping with an explicit shard count (the base
- *              sweep sweeps 1/2/4 to pin shard-count invariance).
+ *   legacy — skip-ahead off: one scheduling round per event-loop
+ *            iteration, the pre-fast-path execution model;
+ *   fast   — skip-ahead on: each fired replica runs its whole
+ *            pure-decode window in one step() call, and era dispatch
+ *            walks every eligible pure-decode lane through its window
+ *            per booking scan.
  *
  * Every simulated output (placements, iteration count, makespan,
  * latency summary, replica-seconds) is asserted bitwise identical
- * across all modes at each scale before any rate is reported — a
+ * across both modes at each scale before any rate is reported — a
  * fast result that differs from the slow one is a wrong result, so
  * the bench fails instead of printing it.
  *
  * Reported per mode: wall seconds, simulated-seconds per wall-second
  * (the headline), decode iterations simulated per wall-second, heap
  * allocations per request (operator new interposed in this TU), and
- * speedup vs legacy. Writes BENCH_simperf.json.
+ * speedup vs legacy. Writes BENCH_simperf.json, whose "hardware"
+ * field records the host's online CPU count.
  *
  * Regression gates (exit 1):
  *  - any bitwise mismatch against legacy at either scale;
- *  - fast mode below the optional sim-s/wall-s floor (argv[4]);
+ *  - fast mode below the optional sim-s/wall-s floor (argv[3]);
  *  - per-mode allocations/request above hard ceilings (large runs
- *    only — short traces are dominated by fixed setup costs);
- *  - the era path (parallel) slower than single-threaded fast on the
- *    big sweep (large runs only, where the gap is not timer noise).
+ *    only — short traces are dominated by fixed setup costs).
  *
  * argv: [1] output json (default BENCH_simperf.json)
  *       [2] num_requests for the base sweep (default 100000); the
  *           big sweep always runs 10x this
- *       [3] threads for the parallel/sharded modes (default 4)
- *       [4] optional floor on the base-sweep fast mode's
+ *       [3] optional floor on the base-sweep fast mode's
  *           simulated-seconds per wall-second; exits 1 below it (CI
  *           regression gate).
  */
@@ -52,6 +46,7 @@
 #include <cstdlib>
 #include <new>
 #include <string>
+#include <unistd.h>
 #include <vector>
 
 #include "bench/bench_util.h"
@@ -104,12 +99,12 @@ using namespace specontext;
 
 namespace {
 
-/** Per-request allocation count below which gated runs are too short
- *  for stable ratios (and rate gaps are timer noise). */
+/** Request count below which gated runs are too short for stable
+ *  allocation ratios. */
 constexpr int64_t kGateMinRequests = 20000;
 
 /** Hard per-mode ceilings on allocations per request, ~2x the
- *  measured steady state (legacy ~850, fast/era ~4) so routine noise
+ *  measured steady state (legacy ~850, fast ~4) so routine noise
  *  never trips them but a reintroduced per-iteration or per-request
  *  allocation does. */
 double
@@ -134,8 +129,6 @@ cloudReplica()
 struct ModeRow
 {
     std::string mode;
-    size_t threads = 1;
-    size_t shards = 0;
     int64_t requests = 0;
     double wall_s = 0.0;
     double sim_s = 0.0;
@@ -146,8 +139,7 @@ struct ModeRow
 
 ModeRow
 runMode(const core::TimingEngine &engine, const std::string &mode,
-        bool skip_ahead, size_t threads, size_t shards,
-        const std::vector<serving::Request> &trace)
+        bool skip_ahead, const std::vector<serving::Request> &trace)
 {
     serving::ClusterConfig cc;
     for (int i = 0; i < 16; ++i)
@@ -158,14 +150,10 @@ runMode(const core::TimingEngine &engine, const std::string &mode,
     // execution profile this bench reports speedups against.
     cc.fast_path.skip_ahead = skip_ahead;
     cc.fast_path.cache_decode_costs = skip_ahead;
-    cc.fast_path.threads = threads;
-    cc.fast_path.shards = shards;
     const serving::Cluster cluster(engine, cc);
 
     ModeRow row;
     row.mode = mode;
-    row.threads = threads;
-    row.shards = shards;
     row.requests = static_cast<int64_t>(trace.size());
     const int64_t allocs_before =
         g_allocs.load(std::memory_order_relaxed);
@@ -269,8 +257,6 @@ jsonRow(std::vector<std::string> &json, const ModeRow &m,
                        : 0.0;
     obs::JsonRow row;
     row.str("mode", m.mode)
-        .num("threads", static_cast<int64_t>(m.threads))
-        .num("shards", static_cast<int64_t>(m.shards))
         .num("requests", m.requests)
         .num("completed", m.result.completed())
         .num("sim_seconds", m.sim_s, "%.3f")
@@ -311,35 +297,21 @@ main(int argc, char **argv)
         argc > 1 ? argv[1] : "BENCH_simperf.json";
     const int64_t num_requests =
         argc > 2 ? std::atoll(argv[2]) : 100000;
-    const size_t threads =
-        argc > 3 ? static_cast<size_t>(std::atoll(argv[3])) : 4;
     const double floor_sim_per_wall =
-        argc > 4 ? std::atof(argv[4]) : 0.0;
+        argc > 3 ? std::atof(argv[3]) : 0.0;
     core::TimingEngine engine;
 
     bench::section("Simulator fast path: simulated seconds per "
                    "wall-clock second");
 
-    // ---- Base sweep: every mode plus the shard-count sweep ----------
+    // ---- Base sweep --------------------------------------------------
     std::printf("  fleet: 16x cloudA800 8B SpeContext, LeastKvLoad; "
                 "trace: %lld diurnal requests\n",
                 static_cast<long long>(num_requests));
     const auto trace = diurnal(num_requests);
-    const ModeRow legacy =
-        runMode(engine, "legacy", false, 1, 0, trace);
-    const ModeRow fast = runMode(engine, "fast", true, 1, 0, trace);
-    const ModeRow parallel =
-        runMode(engine, "parallel", true, threads, 0, trace);
-    std::vector<ModeRow> sharded;
-    for (size_t s : {size_t{1}, size_t{2}, size_t{4}}) {
-        std::printf("  shards=%zu\n", s);
-        sharded.push_back(
-            runMode(engine, "sharded", true, threads, s, trace));
-    }
+    const ModeRow legacy = runMode(engine, "legacy", false, trace);
+    const ModeRow fast = runMode(engine, "fast", true, trace);
     compareToLegacy(legacy, fast);
-    compareToLegacy(legacy, parallel);
-    for (const ModeRow &m : sharded)
-        compareToLegacy(legacy, m);
 
     // ---- Big sweep: 10x the base trace (a million requests at the
     // default), the scale-out row the headline quotes. ---------------
@@ -348,13 +320,9 @@ main(int argc, char **argv)
                 static_cast<long long>(big_requests));
     const auto big_trace = diurnal(big_requests);
     const ModeRow big_legacy =
-        runMode(engine, "legacy", false, 1, 0, big_trace);
-    const ModeRow big_fast =
-        runMode(engine, "fast", true, 1, 0, big_trace);
-    const ModeRow big_parallel =
-        runMode(engine, "parallel", true, threads, 0, big_trace);
+        runMode(engine, "legacy", false, big_trace);
+    const ModeRow big_fast = runMode(engine, "fast", true, big_trace);
     compareToLegacy(big_legacy, big_fast);
-    compareToLegacy(big_legacy, big_parallel);
 
     if (g_mismatches > 0) {
         std::printf("FAIL: fast path changed simulated results\n");
@@ -366,42 +334,22 @@ main(int argc, char **argv)
     std::vector<std::string> json;
     jsonRow(json, legacy, legacy);
     jsonRow(json, fast, legacy);
-    jsonRow(json, parallel, legacy);
-    for (const ModeRow &m : sharded)
-        jsonRow(json, m, legacy);
     jsonRow(json, big_legacy, big_legacy);
     jsonRow(json, big_fast, big_legacy);
-    jsonRow(json, big_parallel, big_legacy);
-    bench::writeBenchJson(out_path, "simperf", "host-cpu", json);
+    // Wall-clock rates are host-specific: record the core count.
+    const std::string host =
+        "host-cpu, " + std::to_string(sysconf(_SC_NPROCESSORS_ONLN)) +
+        " online CPUs";
+    bench::writeBenchJson(out_path, "simperf", host, json);
 
     int failures = 0;
-    for (const ModeRow *m :
-         {&legacy, &fast, &parallel, &big_legacy, &big_fast,
-          &big_parallel})
+    for (const ModeRow *m : {&legacy, &fast, &big_legacy, &big_fast})
         failures += checkAllocs(*m);
-    for (const ModeRow &m : sharded)
-        failures += checkAllocs(m);
 
-    // Era stepping must pay for itself: on the big sweep (where the
-    // gap cannot be timer noise) the parallel mode has to beat the
-    // single-threaded fast mode, whatever the host's core count — the
-    // inline era is a strict improvement even on one core.
-    if (big_requests >= kGateMinRequests &&
-        rate(big_parallel) <= rate(big_fast)) {
-        std::printf("FAIL: parallel (era) mode no faster than fast "
-                    "(%.1f <= %.1f sim-s/wall-s) on the big sweep\n",
-                    rate(big_parallel), rate(big_fast));
-        ++failures;
-    }
-
-    std::printf("\nspeedup vs legacy: fast %.2fx, parallel(%zu) "
-                "%.2fx; big sweep: fast %.0f, parallel %.0f "
+    std::printf("\nspeedup vs legacy: fast %.2fx; big sweep: fast %.0f "
                 "sim-s/wall-s\n",
                 fast.wall_s > 0.0 ? legacy.wall_s / fast.wall_s : 0.0,
-                threads,
-                parallel.wall_s > 0.0 ? legacy.wall_s / parallel.wall_s
-                                      : 0.0,
-                rate(big_fast), rate(big_parallel));
+                rate(big_fast));
     if (floor_sim_per_wall > 0.0 && rate(fast) < floor_sim_per_wall) {
         std::printf("FAIL: fast mode below floor (%.1f < %.1f "
                     "sim-s/wall-s)\n",

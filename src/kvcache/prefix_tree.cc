@@ -144,7 +144,10 @@ PrefixTree::matchAndPin(
 
     // Walk 1 (fused): the pre-resize cached prefix, remembered as the
     // node path so the post-callback phases need no second descent.
+    // A path holds at most one node per full block: reserve it once
+    // rather than regrowing it block by block.
     std::vector<Node *> path;
+    path.reserve(tokens.size() / static_cast<size_t>(cfg_.page_size));
     bool walked = false;
     if (enabled()) {
         walkMatch(tokens, &path);

@@ -125,9 +125,9 @@ struct ClusterConfig
     obs::Observability obs;
     /** Elastic scaling; default (null controller) is the fixed fleet. */
     ElasticConfig elastic;
-    /** Simulator speed knobs: skip-ahead stepping (default on) and
-     *  parallel replica lanes (threads > 1, unobserved runs only).
-     *  Simulated results are bit-identical at every setting. */
+    /** Simulator speed knobs: skip-ahead stepping with era dispatch
+     *  (default on; eras only in unobserved runs) and cached decode
+     *  costs. Simulated results are bit-identical at every setting. */
     SimFastPath fast_path;
 };
 
@@ -228,6 +228,8 @@ class Cluster
      * sorted by arrival time; ids are preserved. Each run builds a
      * fresh fleet and router, so a Cluster can serve many traces and
      * identical inputs give bit-identical results.
+     * @throws std::invalid_argument when an arrival is NaN, infinite or
+     * negative (see sortByArrival).
      */
     ClusterResult run(std::vector<Request> trace) const;
 

@@ -24,31 +24,20 @@
  *    bit-identical; turning it off restores the literal
  *    re-derive-per-iteration pre-fast-path cost profile.
  *
- *  - threads (default 1) and shards (default 0) together enable *era
- *    stepping* in Cluster::run: when every lane with an event below
- *    the router barrier is an independently advancing pure-decode
- *    lane, one booking scan dispatches ALL of them through their bulk
- *    windows — amortizing the per-event fleet scan over the whole
- *    era — instead of firing one lane per scan. Eligible lanes are
- *    partitioned into shards; a worker pool (capped at the machine's
- *    hardware concurrency) steps the shards concurrently, and with
- *    one effective worker the shards run inline on the calling
- *    thread — same structure, no pool, so a sharded run on a small
- *    host is still strictly cheaper than lane-at-a-time stepping.
- *    Pure-decode rounds touch only their own engine and every lane
- *    stops at the same barrier the sequential loop would impose, so
- *    any interleaving gives bit-identical results; the merge back
- *    into the event loop is a full join, and lane order afterwards is
- *    the clock's deterministic earliest-lane scan as ever. Era
- *    dispatch requires observability off (the trace ring / counter
- *    registry / sampler are intentionally unsynchronized); with hooks
- *    attached the cluster silently serializes — same simulated
- *    results, single thread (tests/test_simfast.cc pins the fallback
- *    including counter equality).
+ *  - skip_ahead also turns on *era dispatch* in Cluster::run: when
+ *    every lane with an event below the router barrier is an
+ *    independently advancing pure-decode lane, one booking scan steps
+ *    ALL of them through their bulk windows, inline and in lane
+ *    order — amortizing the per-event fleet scan over the whole era —
+ *    instead of firing one lane per scan. Pure-decode rounds touch
+ *    only their own engine and every lane stops at the same barrier
+ *    the lane-at-a-time loop would impose, so results are
+ *    bit-identical. Eras run only with observability off: an attached
+ *    trace ring records events in lane-at-a-time order, which an era
+ *    would reorder across lanes (tests/test_simfast.cc pins the
+ *    observed fallback, counters included).
  */
 #pragma once
-
-#include <cstddef>
 
 namespace specontext {
 namespace serving {
@@ -56,22 +45,11 @@ namespace serving {
 /** Engine-speed knobs; simulated results never depend on them. */
 struct SimFastPath
 {
-    /** Bulk pure-decode stepping between external boundaries. */
+    /** Bulk pure-decode stepping between external boundaries (and,
+     *  in Cluster, era dispatch while unobserved). */
     bool skip_ahead = true;
     /** Cached per-lane decode-cost evaluator (bit-identical). */
     bool cache_decode_costs = true;
-    /** Worker threads for era (sharded parallel) replica stepping
-     *  (<= 1 = no workers; era stepping still engages when shards
-     *  > 0). Clamped to the hardware concurrency. Ignored
-     *  (serialized) while observability hooks are attached. */
-    size_t threads = 1;
-    /** Shard count for era stepping: eligible lanes are split into
-     *  this many contiguous groups per era. 0 = auto (one shard per
-     *  effective worker). Any value > 0 turns era stepping on even
-     *  with threads <= 1 (the shards then run inline). The shard
-     *  count never changes simulated results — only which thread
-     *  steps which lane. */
-    size_t shards = 0;
 };
 
 } // namespace serving

@@ -201,8 +201,8 @@ ReplicaEngine::liveKvTokens() const
 {
     // kvLen() = prompt_len + generated, and `generated` lags every
     // active request by win_defer_rounds_ while a window is deferred
-    // — add the lag back (integer-exact, and mutation-free so router
-    // probes stay safe against parallel-lane stepping).
+    // — add the lag back (integer-exact, and mutation-free so a
+    // router probe never disturbs a deferred window).
     int64_t tokens =
         static_cast<int64_t>(active_.size()) * win_defer_rounds_;
     for (const Request &r : active_)

@@ -268,8 +268,8 @@ class ReplicaEngine
      * pending delivery has arrived yet. Such a round touches only this
      * engine's own state — no ingest callback can route, no admission
      * can prefill — which is what makes it safe to run ahead of the
-     * global event order (skip-ahead) or concurrently with other
-     * replicas' pure-decode rounds (Cluster's parallel lanes).
+     * global event order (skip-ahead) or in one era with other
+     * replicas' pure-decode rounds (Cluster's era dispatch).
      */
     bool pureDecodeReady() const
     {

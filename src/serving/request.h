@@ -82,7 +82,9 @@ struct Request
 
 /** Sort a trace by arrival time (stable: equal arrivals keep input
  *  order) — the canonical ordering every serving entry point applies
- *  (Server, Cluster, serveWaves, workload::splitTrace). */
+ *  (Server, Cluster, serveWaves, workload::splitTrace).
+ *  @throws std::invalid_argument naming the request id when any
+ *  arrival is NaN, infinite or negative. */
 void sortByArrival(std::vector<Request> &trace);
 
 } // namespace serving

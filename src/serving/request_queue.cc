@@ -1,8 +1,10 @@
 #include "serving/request_queue.h"
 
 #include <algorithm>
+#include <cmath>
 #include <cstddef>
 #include <stdexcept>
+#include <string>
 #include <utility>
 
 namespace specontext {
@@ -11,6 +13,15 @@ namespace serving {
 void
 sortByArrival(std::vector<Request> &trace)
 {
+    // A NaN would break the comparator's strict weak ordering (and can
+    // lose valid requests in the sort), +inf never arrives, and a
+    // negative instant precedes the clock's start.
+    for (const Request &r : trace) {
+        if (!std::isfinite(r.arrival_seconds) || r.arrival_seconds < 0.0)
+            throw std::invalid_argument(
+                "request " + std::to_string(r.id) +
+                ": arrival_seconds must be finite and non-negative");
+    }
     std::stable_sort(trace.begin(), trace.end(),
                      [](const Request &a, const Request &b) {
                          return a.arrival_seconds < b.arrival_seconds;

@@ -44,8 +44,9 @@ struct ServerConfig
     /** Observability hooks, forwarded to the underlying ReplicaEngine
      *  (all-null default = bit-identical unobserved server). */
     obs::Observability obs;
-    /** Simulator speed knobs (skip-ahead on by default; `threads` is
-     *  meaningless on one replica and ignored). Bit-exact either way. */
+    /** Simulator speed knobs (skip-ahead on by default; era dispatch
+     *  needs two or more replicas and never engages here). Bit-exact
+     *  either way. */
     SimFastPath fast_path;
 };
 
@@ -70,6 +71,8 @@ class Server
      *
      * Bit-for-bit identical to a single-replica Cluster over the same
      * trace (tests/test_cluster.cc pins the parity).
+     * @throws std::invalid_argument when an arrival is NaN, infinite or
+     * negative (see sortByArrival).
      */
     ServeResult run(std::vector<Request> trace) const;
 

@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <limits>
 #include <memory>
+#include <stdexcept>
+#include <string>
 
 #include "serving/cluster.h"
 #include "serving/server.h"
@@ -756,6 +759,40 @@ TEST(Cluster, RejectsEmptyOrInvalidFleets)
     bad.replicas = {cloudReplica()};
     bad.replicas[0].max_batch = 0;
     EXPECT_THROW(Cluster(e, bad), std::invalid_argument);
+}
+
+TEST(Cluster, HostileArrivalsThrowNamingTheRequest)
+{
+    // A NaN arrival breaks the sort's ordering (and used to lose a
+    // valid request with it), +inf never arrives, and a negative one
+    // precedes the clock: every serving entry point must refuse the
+    // trace up front, naming the offending request.
+    core::TimingEngine e;
+    ClusterConfig cc;
+    cc.replicas = {cloudReplica(), cloudReplica()};
+    ServerConfig sc;
+    sc.timing = cloudReplica().timing;
+    const double inf = std::numeric_limits<double>::infinity();
+    for (double bad : {std::numeric_limits<double>::quiet_NaN(), inf,
+                       -inf, -5.0}) {
+        const std::vector<Request> trace = {
+            makeRequest(1, 0.0, 512, 16), makeRequest(2, bad, 512, 16),
+            makeRequest(3, 1.0, 512, 16)};
+        auto expectNamed = [&](auto &&run, const char *who) {
+            try {
+                run();
+                ADD_FAILURE() << who << " accepted arrival " << bad;
+            } catch (const std::invalid_argument &ex) {
+                EXPECT_NE(std::string(ex.what()).find("request 2"),
+                          std::string::npos)
+                    << who << ": " << ex.what();
+            }
+        };
+        expectNamed([&] { Cluster(e, cc).run(trace); }, "Cluster");
+        expectNamed([&] { Server(e, sc).run(trace); }, "Server");
+        expectNamed([&] { serving::serveWaves(e, sc, trace); },
+                    "serveWaves");
+    }
 }
 
 TEST(ReplicaEngine, StepOnIdleReplicaThrows)
