@@ -113,6 +113,28 @@ BM_DecodeStepFull(benchmark::State &state)
 BENCHMARK(BM_DecodeStepFull)->Arg(128)->Arg(512);
 
 void
+BM_Prefill(benchmark::State &state)
+{
+    // The live-reasoning model: chunked, layer-major prefill of a
+    // prompt into an empty cache.
+    const auto cfg = model::benchConfig(model::AttentionKind::GQA);
+    const auto llm = model::Transformer::randomInit(cfg, 7);
+    kv::KVCacheSet cache(cfg);
+    Rng rng(10);
+    std::vector<int32_t> prompt;
+    for (int i = 0; i < state.range(0); ++i)
+        prompt.push_back(
+            static_cast<int32_t>(2 + rng.uniformInt(cfg.vocab - 2)));
+    for (auto _ : state) {
+        cache.clear();
+        benchmark::DoNotOptimize(llm.prefill(prompt, cache));
+    }
+    state.SetItemsProcessed(state.iterations() * state.range(0));
+}
+BENCHMARK(BM_Prefill)->Arg(128)->Arg(512)->Arg(2048)->Unit(
+    benchmark::kMillisecond);
+
+void
 BM_RetrievalHeadStep(benchmark::State &state)
 {
     const auto cfg = model::tinyConfig(model::AttentionKind::GQA);

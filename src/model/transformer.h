@@ -78,13 +78,19 @@ class Transformer
     const ModelConfig &config() const { return config_; }
     const ModelWeights &weights() const { return weights_; }
 
+    /** Prompt tokens that prefill runs through each layer at once. */
+    static constexpr int64_t kPrefillChunk = 64;
+
     /**
-     * Full-attention prefill: process all tokens, fill the cache, return
-     * logits of the last token. If trace is non-null it is filled for
-     * the final token only.
+     * Full-attention prefill: append every token's KV to the cache and
+     * return the logits of the last token. The prompt goes through in
+     * chunks of kPrefillChunk tokens, each layer once per chunk; the
+     * logits and every cached float are bit-identical to a decodeStep
+     * per token. Continues from cache.sequenceLength(). Every id is
+     * checked before the cache is touched (std::out_of_range).
      */
     Tensor prefill(const std::vector<int32_t> &tokens,
-                   kv::KVCacheSet &cache, StepTrace *trace = nullptr) const;
+                   kv::KVCacheSet &cache) const;
 
     /**
      * One decode step: appends the token's KV to every layer and
@@ -110,13 +116,30 @@ class Transformer
     ModelConfig config_;
     ModelWeights weights_;
 
-    /** Attention for one layer; returns the flattened head outputs. */
+    /**
+     * Runs `rows` consecutive tokens through every layer, appending
+     * their KV, and returns the hidden states (rows x hidden) before the
+     * final norm. selector and trace apply to single-token calls only.
+     */
+    Tensor forward(const int32_t *tokens, int64_t rows,
+                   kv::KVCacheSet &cache, const LayerSelector *selector,
+                   StepTrace *trace) const;
+
+    /**
+     * Causal attention of one layer for the rows of normed_x, which sit
+     * at the end of the cache once their KV is appended; returns the
+     * output projection (rows x hidden). rope holds the rotations of
+     * positions from rope_pos0 on.
+     */
     Tensor attentionLayer(int64_t layer, const Tensor &normed_x,
-                          kv::KVCacheSet &cache, int64_t pos,
-                          const LayerSelector *selector,
+                          kv::KVCacheSet &cache, const Tensor &rope,
+                          int64_t rope_pos0, const LayerSelector *selector,
                           StepTrace *trace) const;
 
     Tensor ffnLayer(int64_t layer, const Tensor &normed_x) const;
+
+    /** Final norm and LM head of the last row of h. */
+    Tensor lmHead(const Tensor &h, StepTrace *trace) const;
 };
 
 } // namespace model

@@ -104,11 +104,8 @@ RetrievalHead::attentionWeights(const Tensor &q)
     for (int64_t h = 0; h < cfg.q_heads; ++h) {
         const int64_t kh = h / group;
         float *row = weights.row(h);
-        const float *qh = q.row(h);
-        for (int64_t p = 0; p < positions_; ++p) {
-            const float *key = k_cache_.data() + p * k_stride + kh * hd;
-            row[p] = ops::dot(qh, key, hd) * inv_sqrt_d;
-        }
+        ops::scaledScores(q.row(h), k_cache_.data() + kh * hd, hd,
+                          k_stride, positions_, inv_sqrt_d, row);
         ops::softmaxInPlace(row, positions_);
     }
     score_flops_ +=

@@ -4,6 +4,10 @@
 #include <cmath>
 #include <stdexcept>
 
+#if defined(__SSE2__)
+#include <xmmintrin.h>
+#endif
+
 namespace specontext {
 namespace ops {
 
@@ -110,17 +114,23 @@ softmaxLastDim(Tensor &t)
 Tensor
 rmsnorm(const Tensor &x, const Tensor &gain)
 {
-    if (x.ndim() != 1 || gain.ndim() != 1 || x.dim(0) != gain.dim(0))
+    if (x.ndim() < 1 || x.ndim() > 2 || gain.ndim() != 1 ||
+        x.dim(x.ndim() - 1) != gain.dim(0))
         throw std::invalid_argument("rmsnorm shape mismatch");
-    const int64_t n = x.dim(0);
-    double ss = 0.0;
-    for (int64_t i = 0; i < n; ++i)
-        ss += static_cast<double>(x.data()[i]) * x.data()[i];
-    const float inv = static_cast<float>(
-        1.0 / std::sqrt(ss / static_cast<double>(n) + 1e-5));
-    Tensor y({n});
-    for (int64_t i = 0; i < n; ++i)
-        y.at(i) = x.data()[i] * inv * gain.data()[i];
+    const int64_t n = gain.dim(0);
+    const int64_t rows = x.ndim() == 2 ? x.dim(0) : 1;
+    Tensor y(x.shape());
+    for (int64_t r = 0; r < rows; ++r) {
+        const float *px = x.data() + r * n;
+        float *py = y.data() + r * n;
+        double ss = 0.0;
+        for (int64_t i = 0; i < n; ++i)
+            ss += static_cast<double>(px[i]) * px[i];
+        const float inv = static_cast<float>(
+            1.0 / std::sqrt(ss / static_cast<double>(n) + 1e-5));
+        for (int64_t i = 0; i < n; ++i)
+            py[i] = px[i] * inv * gain.data()[i];
+    }
     return y;
 }
 
@@ -177,25 +187,134 @@ dot(const float *a, const float *b, int64_t n)
 }
 
 void
+scaledScores(const float *q, const float *keys, int64_t dim,
+             int64_t stride, int64_t n, float scale, float *out)
+{
+    int64_t i = 0;
+#if defined(__SSE2__)
+    // Eight keys at a time, lane j of a register holding key j. Each
+    // 4x4 tile of keys is transposed so that one add steps every lane
+    // by the same d: lanes never mix, so every sum keeps dot's order.
+    // Other targets, and the last n % 8 keys, take the dot loop below.
+    const int64_t dim4 = dim - dim % 4;
+    const __m128 vscale = _mm_set1_ps(scale);
+    for (; i + 8 <= n; i += 8) {
+        const float *k0 = keys + i * stride;
+        const float *k4 = k0 + 4 * stride;
+        __m128 acc0 = _mm_setzero_ps();
+        __m128 acc1 = _mm_setzero_ps();
+        auto step = [](__m128 acc, const float *qd, __m128 t0, __m128 t1,
+                       __m128 t2, __m128 t3) {
+            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(qd[0]), t0));
+            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(qd[1]), t1));
+            acc = _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(qd[2]), t2));
+            return _mm_add_ps(acc, _mm_mul_ps(_mm_set1_ps(qd[3]), t3));
+        };
+        for (int64_t d = 0; d < dim4; d += 4) {
+            __m128 a0 = _mm_loadu_ps(k0 + d);
+            __m128 a1 = _mm_loadu_ps(k0 + stride + d);
+            __m128 a2 = _mm_loadu_ps(k0 + 2 * stride + d);
+            __m128 a3 = _mm_loadu_ps(k0 + 3 * stride + d);
+            _MM_TRANSPOSE4_PS(a0, a1, a2, a3);
+            acc0 = step(acc0, q + d, a0, a1, a2, a3);
+            __m128 b0 = _mm_loadu_ps(k4 + d);
+            __m128 b1 = _mm_loadu_ps(k4 + stride + d);
+            __m128 b2 = _mm_loadu_ps(k4 + 2 * stride + d);
+            __m128 b3 = _mm_loadu_ps(k4 + 3 * stride + d);
+            _MM_TRANSPOSE4_PS(b0, b1, b2, b3);
+            acc1 = step(acc1, q + d, b0, b1, b2, b3);
+        }
+        for (int64_t d = dim4; d < dim; ++d) {
+            const __m128 qd = _mm_set1_ps(q[d]);
+            acc0 = _mm_add_ps(
+                acc0, _mm_mul_ps(qd, _mm_setr_ps(k0[d], k0[stride + d],
+                                                 k0[2 * stride + d],
+                                                 k0[3 * stride + d])));
+            acc1 = _mm_add_ps(
+                acc1, _mm_mul_ps(qd, _mm_setr_ps(k4[d], k4[stride + d],
+                                                 k4[2 * stride + d],
+                                                 k4[3 * stride + d])));
+        }
+        _mm_storeu_ps(out + i, _mm_mul_ps(acc0, vscale));
+        _mm_storeu_ps(out + i + 4, _mm_mul_ps(acc1, vscale));
+    }
+#endif
+    for (; i < n; ++i)
+        out[i] = dot(q, keys + i * stride, dim) * scale;
+}
+
+void
+weightedSum(const float *w, const float *rows, int64_t dim, int64_t stride,
+            int64_t n, float *out)
+{
+    // Sixteen output floats live in local accumulators across the whole
+    // i loop instead of being loaded and stored once per row.
+    constexpr int64_t kBlock = 16;
+    for (int64_t d0 = 0; d0 < dim; d0 += kBlock) {
+        const int64_t m = std::min(kBlock, dim - d0);
+        float acc[kBlock] = {};
+        if (m == kBlock) {
+            for (int64_t i = 0; i < n; ++i) {
+                const float wi = w[i];
+                const float *r = rows + i * stride + d0;
+                for (int64_t d = 0; d < kBlock; ++d)
+                    acc[d] += wi * r[d];
+            }
+        } else {
+            for (int64_t i = 0; i < n; ++i) {
+                const float wi = w[i];
+                const float *r = rows + i * stride + d0;
+                for (int64_t d = 0; d < m; ++d)
+                    acc[d] += wi * r[d];
+            }
+        }
+        std::copy(acc, acc + m, out + d0);
+    }
+}
+
+void
 applyRope(Tensor &qk, int64_t pos, float theta_base, float yarn_scale)
 {
     if (qk.ndim() != 2)
         throw std::invalid_argument("applyRope expects (heads, head_dim)");
-    const int64_t heads = qk.dim(0);
     const int64_t hd = qk.dim(1);
-    if (hd % 2 != 0)
+    const Tensor cs = ropeTable(pos, 1, hd, theta_base, yarn_scale);
+    applyRope(qk.data(), qk.dim(0), hd, cs.data());
+}
+
+Tensor
+ropeTable(int64_t pos0, int64_t n, int64_t head_dim, float theta_base,
+          float yarn_scale)
+{
+    if (head_dim % 2 != 0)
         throw std::invalid_argument("applyRope head_dim must be even");
-    const double p = static_cast<double>(pos) / yarn_scale;
+    const int64_t half = head_dim / 2;
+    std::vector<double> freq(half);
+    for (int64_t i = 0; i < half; ++i)
+        freq[i] = std::pow(static_cast<double>(theta_base),
+                           -2.0 * static_cast<double>(i) /
+                               static_cast<double>(head_dim));
+    Tensor t({n, head_dim});
+    for (int64_t r = 0; r < n; ++r) {
+        const double p = static_cast<double>(pos0 + r) / yarn_scale;
+        float *cs = t.row(r);
+        for (int64_t i = 0; i < half; ++i) {
+            const double ang = p * freq[i];
+            cs[2 * i] = static_cast<float>(std::cos(ang));
+            cs[2 * i + 1] = static_cast<float>(std::sin(ang));
+        }
+    }
+    return t;
+}
+
+void
+applyRope(float *x, int64_t heads, int64_t head_dim, const float *cos_sin)
+{
     for (int64_t h = 0; h < heads; ++h) {
-        float *v = qk.row(h);
-        for (int64_t i = 0; i < hd / 2; ++i) {
-            const double freq =
-                std::pow(static_cast<double>(theta_base),
-                         -2.0 * static_cast<double>(i) /
-                             static_cast<double>(hd));
-            const double ang = p * freq;
-            const float c = static_cast<float>(std::cos(ang));
-            const float s = static_cast<float>(std::sin(ang));
+        float *v = x + h * head_dim;
+        for (int64_t i = 0; i < head_dim / 2; ++i) {
+            const float c = cos_sin[2 * i];
+            const float s = cos_sin[2 * i + 1];
             const float x0 = v[2 * i];
             const float x1 = v[2 * i + 1];
             v[2 * i] = x0 * c - x1 * s;

@@ -32,7 +32,10 @@ void softmaxLastDim(Tensor &t);
 /** Numerically stable softmax of a raw buffer of length n, in place. */
 void softmaxInPlace(float *v, int64_t n);
 
-/** RMSNorm of x (rank 1) with learned gain (same length), eps 1e-5. */
+/**
+ * RMSNorm with learned gain, eps 1e-5: of x itself when x is rank 1, of
+ * each row when x is rank 2. gain has the length of one row.
+ */
 Tensor rmsnorm(const Tensor &x, const Tensor &gain);
 
 /** SiLU (x * sigmoid(x)) elementwise, returns new tensor. */
@@ -51,6 +54,23 @@ void addInPlace(Tensor &a, const Tensor &b);
 float dot(const float *a, const float *b, int64_t n);
 
 /**
+ * Attention scores of one query against n keys spaced stride floats
+ * apart: out[i] = dot(q, keys + i * stride, dim) * scale, bit for bit.
+ * Several keys are summed side by side, each still in ascending d, so
+ * their add chains overlap instead of running one after another.
+ */
+void scaledScores(const float *q, const float *keys, int64_t dim,
+                  int64_t stride, int64_t n, float scale, float *out);
+
+/**
+ * Probability-weighted sum of n rows spaced stride floats apart:
+ * out[d] = sum_i w[i] * rows[i * stride + d] for d < dim, added in
+ * ascending i starting from zero (the order of a `+=` loop over i).
+ */
+void weightedSum(const float *w, const float *rows, int64_t dim,
+                 int64_t stride, int64_t n, float *out);
+
+/**
  * Apply rotary position embedding in place to a (heads x head_dim) tensor
  * for absolute position pos. head_dim must be even. theta_base follows
  * Llama (10000). yarn_scale > 1 applies YaRN-style positional
@@ -59,6 +79,19 @@ float dot(const float *a, const float *b, int64_t n);
  */
 void applyRope(Tensor &qk, int64_t pos, float theta_base = 10000.0f,
                float yarn_scale = 1.0f);
+
+/**
+ * RoPE rotations of positions [pos0, pos0 + n): an (n x head_dim) tensor
+ * whose row r holds the (cos, sin) pair of every frequency of position
+ * pos0 + r, evaluated in double and rounded to float. applyRope rotates
+ * by these rows, and one row serves every head of its position.
+ */
+Tensor ropeTable(int64_t pos0, int64_t n, int64_t head_dim,
+                 float theta_base = 10000.0f, float yarn_scale = 1.0f);
+
+/** Rotate `heads` consecutive head_dim vectors at x by one ropeTable row. */
+void applyRope(float *x, int64_t heads, int64_t head_dim,
+               const float *cos_sin);
 
 /** Index of the maximum element of a rank-1 tensor. */
 int64_t argmax(const Tensor &t);

@@ -3,6 +3,8 @@
  * Tests of the transformer substrate, parameterized over the four
  * attention mechanisms the retrieval head supports (MHA/GQA/MQA/MLA).
  */
+#include <cstring>
+
 #include <gtest/gtest.h>
 
 #include "kvcache/kv_cache.h"
@@ -193,6 +195,108 @@ TEST_P(TransformerAllKinds, TraceRecordsAttentionRows)
     }
 }
 
+/** memcmp of two float buffers, for bitwise parity checks. */
+bool
+sameBits(const float *a, const float *b, int64_t n)
+{
+    return std::memcmp(a, b, static_cast<size_t>(n) * sizeof(float)) == 0;
+}
+
+/** Every cached K/V (or MLA latent) float of a and b is bit-equal. */
+void
+expectSameCache(const kv::KVCacheSet &a, const kv::KVCacheSet &b)
+{
+    ASSERT_EQ(a.sequenceLength(), b.sequenceLength());
+    for (int64_t l = 0; l < a.layers(); ++l) {
+        const kv::LayerKVCache &la = a.layer(l);
+        const kv::LayerKVCache &lb = b.layer(l);
+        for (int64_t p = 0; p < la.size(); ++p) {
+            if (la.latentMode()) {
+                EXPECT_TRUE(sameBits(la.latentAt(p), lb.latentAt(p),
+                                     la.latentDim()))
+                    << "layer " << l << " pos " << p;
+                continue;
+            }
+            for (int64_t h = 0; h < la.kvHeads(); ++h) {
+                EXPECT_TRUE(sameBits(la.keyAt(p, h), lb.keyAt(p, h),
+                                     la.headDim()))
+                    << "K layer " << l << " pos " << p << " head " << h;
+                EXPECT_TRUE(sameBits(la.valueAt(p, h), lb.valueAt(p, h),
+                                     la.headDim()))
+                    << "V layer " << l << " pos " << p << " head " << h;
+            }
+        }
+    }
+}
+
+/** The token-at-a-time reference: one decodeStep per prompt token. */
+Tensor
+prefillByDecodeSteps(const model::Transformer &llm,
+                     const std::vector<int32_t> &tokens,
+                     kv::KVCacheSet &cache)
+{
+    Tensor logits;
+    for (int32_t t : tokens)
+        logits = llm.decodeStep(t, cache);
+    return logits;
+}
+
+void
+expectPrefillMatchesDecodeSteps(const model::Transformer &llm,
+                                const std::vector<int32_t> &prompt)
+{
+    kv::KVCacheSet chunked(llm.config()), stepped(llm.config());
+    const Tensor a = llm.prefill(prompt, chunked);
+    const Tensor b = prefillByDecodeSteps(llm, prompt, stepped);
+    ASSERT_EQ(a.numel(), b.numel());
+    EXPECT_TRUE(sameBits(a.data(), b.data(), a.numel()))
+        << "logits differ at prompt length " << prompt.size();
+    expectSameCache(chunked, stepped);
+}
+
+TEST_P(TransformerAllKinds, PrefillMatchesTokenAtATimeBitwise)
+{
+    // Lengths around the chunk edge: one token, a chunk minus one, one
+    // chunk, a chunk plus one, and several chunks with a ragged tail.
+    for (int64_t len : {1, 63, 64, 65, 197})
+        expectPrefillMatchesDecodeSteps(
+            llm_, randomPrompt(len, cfg_.vocab, 100 + len));
+}
+
+TEST_P(TransformerAllKinds, PrefillContinuesACacheBitwise)
+{
+    // prefill, two decode steps, then prefill again on the same cache.
+    const auto first = randomPrompt(70, cfg_.vocab, 7);
+    const auto second = randomPrompt(66, cfg_.vocab, 8);
+    kv::KVCacheSet chunked(cfg_), stepped(cfg_);
+    llm_.prefill(first, chunked);
+    prefillByDecodeSteps(llm_, first, stepped);
+    for (int32_t t : {9, 11}) {
+        const Tensor a = llm_.decodeStep(t, chunked);
+        const Tensor b = llm_.decodeStep(t, stepped);
+        EXPECT_TRUE(sameBits(a.data(), b.data(), a.numel()));
+    }
+    const Tensor a = llm_.prefill(second, chunked);
+    const Tensor b = prefillByDecodeSteps(llm_, second, stepped);
+    EXPECT_TRUE(sameBits(a.data(), b.data(), a.numel()));
+    EXPECT_EQ(chunked.sequenceLength(), 70 + 2 + 66);
+    expectSameCache(chunked, stepped);
+}
+
+TEST_P(TransformerAllKinds, PrefillRejectsBadTokenWithoutTouchingCache)
+{
+    kv::KVCacheSet cache(cfg_);
+    llm_.prefill({5, 6}, cache);
+    const int32_t vocab = static_cast<int32_t>(cfg_.vocab);
+    for (int32_t bad : {-1, vocab, vocab + 7}) {
+        EXPECT_THROW(llm_.prefill({5, 6, 7, bad}, cache), std::out_of_range)
+            << "id " << bad;
+        EXPECT_EQ(cache.sequenceLength(), 2) << "id " << bad;
+        for (int64_t l = 0; l < cache.layers(); ++l)
+            EXPECT_EQ(cache.layer(l).size(), 2);
+    }
+}
+
 TEST_P(TransformerAllKinds, RejectsOutOfVocabToken)
 {
     kv::KVCacheSet cache(cfg_);
@@ -208,6 +312,14 @@ INSTANTIATE_TEST_SUITE_P(
     [](const ::testing::TestParamInfo<AttentionKind> &info) {
         return model::attentionKindName(info.param);
     });
+
+TEST(TransformerBench, PrefillMatchesTokenAtATimeBitwiseAt512)
+{
+    // The live-reasoning benchmark's shape: benchConfig(GQA), 512 tokens.
+    const auto cfg = model::benchConfig(AttentionKind::GQA);
+    const auto llm = model::Transformer::randomInit(cfg, 7);
+    expectPrefillMatchesDecodeSteps(llm, randomPrompt(512, cfg.vocab, 9));
+}
 
 TEST(Tokenizer, StableWordIds)
 {

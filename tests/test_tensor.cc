@@ -4,6 +4,7 @@
  * kernels (GEMM, softmax, RMSNorm, RoPE) and the deterministic RNG.
  */
 #include <cmath>
+#include <cstring>
 
 #include <gtest/gtest.h>
 
@@ -300,6 +301,79 @@ TEST(Ops, YarnScaleSlowsRotation)
     ops::applyRope(b, 8, 10000.0f, 1.0f);
     for (int64_t d = 0; d < 8; ++d)
         EXPECT_NEAR(a.at(0, d), b.at(0, d), 1e-4);
+}
+
+TEST(Ops, ScaledScoresMatchDotBitwise)
+{
+    // Every score equals dot(q, key) * scale bit for bit: whole blocks
+    // of keys, ragged tails and a head_dim with a tail past a multiple
+    // of four, at a packed and a strided key layout.
+    Rng rng(21);
+    const float scale = 0.25f;
+    for (int64_t dim : {16, 18}) {
+        for (int64_t stride : {dim, 4 * dim + 3}) {
+            for (int64_t n : {1, 7, 8, 9, 100}) {
+                const Tensor q = Tensor::randn({dim}, rng);
+                const Tensor keys = Tensor::randn({n * stride}, rng);
+                std::vector<float> got(n), want(n);
+                ops::scaledScores(q.data(), keys.data(), dim, stride, n,
+                                  scale, got.data());
+                for (int64_t i = 0; i < n; ++i)
+                    want[i] = ops::dot(q.data(), keys.data() + i * stride,
+                                       dim) *
+                              scale;
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      n * sizeof(float)),
+                          0)
+                    << "dim " << dim << " stride " << stride << " n " << n;
+            }
+        }
+    }
+}
+
+TEST(Ops, WeightedSumMatchesAccumulationLoopBitwise)
+{
+    Rng rng(22);
+    for (int64_t dim : {16, 40}) {
+        const int64_t stride = dim + 5, n = 37;
+        const Tensor w = Tensor::randn({n}, rng);
+        const Tensor rows = Tensor::randn({n * stride}, rng);
+        std::vector<float> got(dim), want(dim, 0.0f);
+        ops::weightedSum(w.data(), rows.data(), dim, stride, n, got.data());
+        for (int64_t i = 0; i < n; ++i)
+            for (int64_t d = 0; d < dim; ++d)
+                want[d] += w.data()[i] * rows.data()[i * stride + d];
+        EXPECT_EQ(std::memcmp(got.data(), want.data(), dim * sizeof(float)),
+                  0)
+            << "dim " << dim;
+    }
+}
+
+TEST(Ops, RopeTableRowRotatesLikeApplyRope)
+{
+    Rng rng(23);
+    const Tensor table = ops::ropeTable(5, 4, 16, 10000.0f, 2.0f);
+    for (int64_t r = 0; r < 4; ++r) {
+        Tensor a = Tensor::randn({3, 16}, rng);
+        Tensor b = a.clone();
+        ops::applyRope(a, 5 + r, 10000.0f, 2.0f);
+        ops::applyRope(b.data(), 3, 16, table.row(r));
+        EXPECT_EQ(std::memcmp(a.data(), b.data(), 48 * sizeof(float)), 0);
+    }
+}
+
+TEST(Ops, RmsnormRowsMatchRankOne)
+{
+    Rng rng(24);
+    const Tensor x = Tensor::randn({3, 8}, rng);
+    const Tensor gain = Tensor::randn({8}, rng);
+    const Tensor y = ops::rmsnorm(x, gain);
+    for (int64_t r = 0; r < 3; ++r) {
+        Tensor xr({8});
+        std::copy(x.row(r), x.row(r) + 8, xr.data());
+        const Tensor yr = ops::rmsnorm(xr, gain);
+        EXPECT_EQ(std::memcmp(yr.data(), y.row(r), 8 * sizeof(float)), 0);
+    }
 }
 
 TEST(Ops, ArgmaxAndMean)
