@@ -139,10 +139,11 @@ scenario(bool reasoning)
     // a larger relative budget than a trained 32-layer 8B model for
     // the same fidelity, so the live budgets are chosen where the
     // tiny model's accuracy/budget curve has the same character as
-    // the paper's (documented in EXPERIMENTS.md): roughly 1/4 and 1/2
-    // of the live context for the input scenario, and budgets around
-    // the total sequence for the reasoning scenario (where the
-    // paper's 1024/2048 budgets also exceed the ~100-token prompt).
+    // the paper's (README, "Synthetic model vs the paper"): roughly
+    // 1/4 and 1/2 of the live context for the input scenario, and
+    // budgets around the total sequence for the reasoning scenario
+    // (where the paper's 1024/2048 budgets also exceed the ~100-token
+    // prompt).
     const int64_t live_ctx = static_cast<int64_t>(task.prompt.size()) +
                              task.answer_steps;
     const std::vector<std::pair<int64_t, int64_t>> budget_map =

@@ -55,6 +55,6 @@ main()
     std::printf(
         "(paper: overlap rises with budget to >0.8 on trained LLMs; the "
         "synthetic model\nreproduces the rising shape at lower absolute "
-        "values — see EXPERIMENTS.md)\n");
+        "values — see README, \"Synthetic model vs the paper\")\n");
     return 0;
 }

@@ -60,7 +60,8 @@ main()
     // accuracy-curve *phases* (degraded -> recovering -> converged to
     // full attention) at larger relative budgets, so the live budgets
     // are placed across that range; the mapping is documented in
-    // EXPERIMENTS.md and identical for every system.
+    // README, "Synthetic model vs the paper", and is identical for
+    // every system.
     const std::vector<std::pair<int64_t, int64_t>> budgets = {
         {512, ctx / 8}, {1024, ctx / 5}, {2048, ctx / 3},
         {4096, ctx / 2}};

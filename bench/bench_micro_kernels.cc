@@ -1,10 +1,10 @@
 /**
  * @file
  * Wall-clock micro-benchmarks (google-benchmark) of the primitives the
- * live engine actually executes: GEMV/GEMM projections, softmax, RoPE,
- * Top-K, elastic set difference, one decode step and one retrieval
- * head step. These measure this repository's real CPU kernels, not
- * the simulated GPU.
+ * live engine actually executes: GEMV/GEMM projections, attention
+ * scores, softmax, RoPE, Top-K, elastic set difference, prefill, one
+ * decode step and one retrieval head step. These measure this
+ * repository's real CPU kernels, not the simulated GPU.
  */
 #include <benchmark/benchmark.h>
 
@@ -32,6 +32,45 @@ BM_Vecmat(benchmark::State &state)
     state.SetComplexityN(n);
 }
 BENCHMARK(BM_Vecmat)->Arg(64)->Arg(128)->Arg(256)->Complexity();
+
+void
+BM_Matmul(benchmark::State &state)
+{
+    // One 64-token prefill chunk through a projection of
+    // benchConfig(GQA): (64 x k) times (k x n).
+    const int64_t k = state.range(0), n = state.range(1);
+    Rng rng(11);
+    Tensor a = Tensor::randn({64, k}, rng);
+    Tensor b = Tensor::randn({k, n}, rng);
+    for (auto _ : state)
+        benchmark::DoNotOptimize(ops::matmul(a, b));
+    state.SetItemsProcessed(state.iterations() * 64 * k * n);
+}
+BENCHMARK(BM_Matmul)
+    ->Args({128, 64})
+    ->Args({128, 128})
+    ->Args({128, 256})
+    ->Args({256, 128});
+
+void
+BM_ScaledScores(benchmark::State &state)
+{
+    // One query head of the retrieval head against n cached keys:
+    // head_dim 16, keys of the four KV heads interleaved (stride 64).
+    const int64_t dim = 16, stride = 64, n = state.range(0);
+    Rng rng(12);
+    Tensor q = Tensor::randn({dim}, rng);
+    Tensor keys = Tensor::randn({n * stride}, rng);
+    std::vector<float> out(n);
+    for (auto _ : state) {
+        ops::scaledScores(q.data(), keys.data(), dim, stride, n, 0.25f,
+                          out.data());
+        benchmark::DoNotOptimize(out.data());
+        benchmark::ClobberMemory();
+    }
+    state.SetItemsProcessed(state.iterations() * n);
+}
+BENCHMARK(BM_ScaledScores)->Arg(1024)->Arg(2560);
 
 void
 BM_Softmax(benchmark::State &state)

@@ -4,8 +4,8 @@
  * stack (tiny LLM + DLM), prompt builders, and table printing.
  *
  * Every bench regenerates one table or figure of the paper; the rows
- * and series printed here are compared against the paper in
- * EXPERIMENTS.md.
+ * and series printed here are compared against the paper in the
+ * README section "Synthetic model vs the paper".
  */
 #pragma once
 

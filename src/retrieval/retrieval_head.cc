@@ -42,9 +42,17 @@ RetrievalHead::truncateTo(int64_t tokens)
     positions_ = tokens;
 }
 
+void
+RetrievalHead::checkToken(int32_t token) const
+{
+    if (token < 0 || token >= dlm_.config().vocab)
+        throw std::out_of_range("token id outside vocabulary");
+}
+
 Tensor
 RetrievalHead::processToken(int32_t token)
 {
+    checkToken(token);
     const model::ModelConfig &cfg = dlm_.config();
     const model::ModelWeights &w = dlm_.weights();
     const model::LayerWeights &lw = w.layers[0];
@@ -85,6 +93,9 @@ RetrievalHead::observe(int32_t token)
 void
 RetrievalHead::observe(const std::vector<int32_t> &tokens)
 {
+    // Every id first, so a bad one leaves no earlier token's key behind.
+    for (int32_t t : tokens)
+        checkToken(t);
     for (int32_t t : tokens)
         observe(t);
 }

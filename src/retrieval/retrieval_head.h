@@ -84,11 +84,13 @@ class RetrievalHead
 
     /**
      * Observe one token *without* producing a selection (prefill path:
-     * the head still has to build its K cache over the prompt).
+     * the head still has to build its K cache over the prompt). An id
+     * outside the vocabulary throws std::out_of_range before the K
+     * cache changes, here, in the prompt overload and in step.
      */
     void observe(int32_t token);
 
-    /** Observe a whole prompt. */
+    /** Observe a whole prompt; every id is checked before any is cached. */
     void observe(const std::vector<int32_t> &tokens);
 
     /**
@@ -127,6 +129,9 @@ class RetrievalHead
     std::vector<float> k_cache_; ///< kv_heads-major per token
     Tensor last_weights_;
     double score_flops_ = 0.0;
+
+    /** Throws std::out_of_range unless 0 <= token < vocab. */
+    void checkToken(int32_t token) const;
 
     /** Embed + norm + QK project + rope; appends K, returns Q. */
     Tensor processToken(int32_t token);

@@ -14,7 +14,11 @@
 namespace specontext {
 namespace ops {
 
-/** C = A(mxk) * B(kxn). Shapes are validated. */
+/**
+ * C = A(mxk) * B(kxn). Shapes are validated. Column j of row i sums
+ * a(i, p) * b(p, j) in ascending p, a multiply then an add, starting
+ * from zero and skipping every p where a(i, p) == 0.
+ */
 Tensor matmul(const Tensor &a, const Tensor &b);
 
 /** C = A(mxk) * B^T where B is (nxk). Avoids materializing transposes. */
@@ -23,7 +27,10 @@ Tensor matmulTransposedB(const Tensor &a, const Tensor &b);
 /** y = W(mxk) * x(k). */
 Tensor matvec(const Tensor &w, const Tensor &x);
 
-/** y(k) = x(m) * W(mxk): row-vector times matrix, used for projections. */
+/**
+ * y(k) = x(m) * W(mxk): row-vector times matrix, used for projections.
+ * A one-row matmul, so y equals that row of matmul bit for bit.
+ */
 Tensor vecmat(const Tensor &x, const Tensor &w);
 
 /** In-place softmax over the last dimension. */
@@ -69,6 +76,31 @@ void scaledScores(const float *q, const float *keys, int64_t dim,
  */
 void weightedSum(const float *w, const float *rows, int64_t dim,
                  int64_t stride, int64_t n, float *out);
+
+/**
+ * The kernels behind matmul, scaledScores and weightedSum, one set per
+ * instruction set. Every set runs the same sequence of IEEE operations
+ * per output float, so all sets give the same bits. The functions above
+ * use the AVX2 set when the CPU has AVX2 (checked once per process) and
+ * the portable set otherwise; tests call each set directly.
+ */
+struct KernelSet
+{
+    /** c(m x n) = a(m x k) * b(k x n), row-major, c overwritten. */
+    void (*matmul)(const float *a, const float *b, int64_t m, int64_t k,
+                   int64_t n, float *c);
+    void (*scaledScores)(const float *q, const float *keys, int64_t dim,
+                         int64_t stride, int64_t n, float scale,
+                         float *out);
+    void (*weightedSum)(const float *w, const float *rows, int64_t dim,
+                        int64_t stride, int64_t n, float *out);
+};
+
+/** Plain C++ loops (SSE2 scores on x86-64); runs on every CPU. */
+const KernelSet &portableKernels();
+
+/** Explicit AVX2 kernels, or nullptr where the CPU lacks AVX2. */
+const KernelSet *avx2Kernels();
 
 /**
  * Apply rotary position embedding in place to a (heads x head_dim) tensor

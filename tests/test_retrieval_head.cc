@@ -4,6 +4,11 @@
  * pruning ratios, head-level vs batch-level mapping, and the Fig. 5
  * mapping rules for MHA/GQA/MQA/MLA.
  */
+#include <cstdint>
+#include <limits>
+#include <stdexcept>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "model/distiller.h"
@@ -137,6 +142,27 @@ TEST_P(HeadAllKinds, AttentionWeightsRowsSumToOne)
             sum += w.at(h, p);
         EXPECT_NEAR(sum, 1.0f, 1e-4);
     }
+}
+
+TEST_P(HeadAllKinds, RejectsBadTokenWithoutTouchingCache)
+{
+    HeadFixture f(GetParam());
+    RetrievalHead head(f.dlm, {8}), clean(f.dlm, {8});
+    const std::vector<int32_t> prompt = f.tokens(6);
+    head.observe(prompt);
+    clean.observe(prompt);
+    const int32_t vocab = static_cast<int32_t>(f.cfg.vocab);
+    for (int32_t bad : {-1, std::numeric_limits<int32_t>::min(), vocab,
+                        vocab + 100000}) {
+        EXPECT_THROW(head.observe(bad), std::out_of_range) << bad;
+        EXPECT_THROW(head.observe(std::vector<int32_t>{5, 6, bad}),
+                     std::out_of_range)
+            << bad;
+        EXPECT_THROW(head.step(bad), std::out_of_range) << bad;
+        EXPECT_EQ(head.cachedTokens(), 6) << bad;
+    }
+    // The head goes on exactly as one that never saw a bad id.
+    EXPECT_EQ(head.step(5).per_head, clean.step(5).per_head);
 }
 
 INSTANTIATE_TEST_SUITE_P(

@@ -3,8 +3,12 @@
  * Unit tests of the tensor substrate: storage semantics, shapes,
  * kernels (GEMM, softmax, RMSNorm, RoPE) and the deterministic RNG.
  */
+#include <algorithm>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
+#include <limits>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -303,21 +307,155 @@ TEST(Ops, YarnScaleSlowsRotation)
         EXPECT_NEAR(a.at(0, d), b.at(0, d), 1e-4);
 }
 
-TEST(Ops, ScaledScoresMatchDotBitwise)
+/**
+ * Each kernel test runs once per kernel set, calling the set directly;
+ * the AVX2 run skips on a CPU without AVX2, so such a runner still
+ * covers the portable kernels the public functions fall back to.
+ */
+class Kernels : public ::testing::TestWithParam<bool>
+{
+  protected:
+    void SetUp() override
+    {
+        if (GetParam() && !ops::avx2Kernels())
+            GTEST_SKIP() << "CPU lacks AVX2";
+    }
+
+    const ops::KernelSet &kernels() const
+    {
+        return GetParam() ? *ops::avx2Kernels() : ops::portableKernels();
+    }
+};
+
+INSTANTIATE_TEST_SUITE_P(Ops, Kernels, ::testing::Values(false, true),
+                         [](const ::testing::TestParamInfo<bool> &info) {
+                             return info.param ? "Avx2" : "Portable";
+                         });
+
+/**
+ * Operands for a bitwise matmul check. A dense case has no zero in a.
+ * Otherwise about a fifth of a is zero, and column k / 2 of a is zero
+ * in every row, above an inf in b: a kernel that multiplies instead of
+ * skipping a zero turns that inf into NaN.
+ */
+struct MatmulCase
+{
+    int64_t m, k, n;
+    std::vector<float> a, b;
+
+    MatmulCase(int64_t m_, int64_t k_, int64_t n_, bool dense, Rng &rng)
+        : m(m_), k(k_), n(n_), a(m_ * k_), b(k_ * n_)
+    {
+        for (float &x : a) {
+            x = !dense && rng.uniform() < 0.2 ? 0.0f : rng.gaussian();
+            if (dense && x == 0.0f)
+                x = 1.0f;
+        }
+        for (float &x : b)
+            x = rng.gaussian();
+        if (dense)
+            return;
+        for (int64_t i = 0; i < m; ++i)
+            a[i * k + k / 2] = 0.0f;
+        b[(k / 2) * n + n / 2] = std::numeric_limits<float>::infinity();
+    }
+
+    /** Ascending p, a multiply then an add, zero entries of a skipped. */
+    std::vector<float> naive() const
+    {
+        std::vector<float> c(m * n);
+        for (int64_t i = 0; i < m; ++i) {
+            for (int64_t j = 0; j < n; ++j) {
+                float s = 0.0f;
+                for (int64_t p = 0; p < k; ++p) {
+                    if (a[i * k + p] == 0.0f)
+                        continue;
+                    s += a[i * k + p] * b[p * n + j];
+                }
+                c[i * n + j] = s;
+            }
+        }
+        return c;
+    }
+};
+
+bool
+allFinite(const std::vector<float> &v)
+{
+    return std::all_of(v.begin(), v.end(),
+                       [](float x) { return std::isfinite(x); });
+}
+
+TEST_P(Kernels, MatmulMatchesNaiveLoopBitwise)
+{
+    Rng rng(24);
+    for (int64_t m : {1, 3, 4, 5, 64, 67}) {
+        for (int64_t n : {1, 7, 16, 17, 64, 130}) {
+            for (int64_t k : {1, 17, 128, 256}) {
+                for (bool dense : {true, false}) {
+                    const MatmulCase mc(m, k, n, dense, rng);
+                    const std::vector<float> want = mc.naive();
+                    // NaN fill: a kernel that leaves an output unwritten
+                    // fails the comparison.
+                    std::vector<float> got(m * n, std::nanf(""));
+                    kernels().matmul(mc.a.data(), mc.b.data(), m, k, n,
+                                     got.data());
+                    ASSERT_TRUE(allFinite(want));
+                    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                          m * n * sizeof(float)),
+                              0)
+                        << "m " << m << " k " << k << " n " << n
+                        << (dense ? " dense" : " with zeros");
+                }
+            }
+        }
+    }
+}
+
+TEST_P(Kernels, VecmatMatchesNaiveLoopBitwise)
+{
+    // vecmat is the one-row matmul; the public call must agree too.
+    Rng rng(25);
+    for (int64_t n : {1, 7, 16, 17, 64, 130, 512}) {
+        for (int64_t k : {1, 17, 128, 256}) {
+            for (bool dense : {true, false}) {
+                const MatmulCase mc(1, k, n, dense, rng);
+                const std::vector<float> want = mc.naive();
+                std::vector<float> got(n, std::nanf(""));
+                kernels().matmul(mc.a.data(), mc.b.data(), 1, k, n,
+                                 got.data());
+                const Tensor x = Tensor::fromVector(mc.a);
+                const Tensor w = Tensor::fromVector(mc.b).reshape({k, n});
+                const Tensor y = ops::vecmat(x, w);
+                ASSERT_TRUE(allFinite(want));
+                EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                      n * sizeof(float)),
+                          0)
+                    << "k " << k << " n " << n;
+                EXPECT_EQ(
+                    std::memcmp(y.data(), want.data(), n * sizeof(float)), 0)
+                    << "k " << k << " n " << n;
+            }
+        }
+    }
+}
+
+TEST_P(Kernels, ScaledScoresMatchDotBitwise)
 {
     // Every score equals dot(q, key) * scale bit for bit: whole blocks
-    // of keys, ragged tails and a head_dim with a tail past a multiple
-    // of four, at a packed and a strided key layout.
+    // of eight and sixteen keys, ragged tails, and head_dims with and
+    // without a tail past a multiple of four, at a packed and a strided
+    // key layout.
     Rng rng(21);
     const float scale = 0.25f;
-    for (int64_t dim : {16, 18}) {
+    for (int64_t dim : {3, 8, 16, 18, 33}) {
         for (int64_t stride : {dim, 4 * dim + 3}) {
-            for (int64_t n : {1, 7, 8, 9, 100}) {
+            for (int64_t n : {1, 7, 8, 9, 15, 16, 17, 24, 33, 100}) {
                 const Tensor q = Tensor::randn({dim}, rng);
                 const Tensor keys = Tensor::randn({n * stride}, rng);
                 std::vector<float> got(n), want(n);
-                ops::scaledScores(q.data(), keys.data(), dim, stride, n,
-                                  scale, got.data());
+                kernels().scaledScores(q.data(), keys.data(), dim, stride,
+                                       n, scale, got.data());
                 for (int64_t i = 0; i < n; ++i)
                     want[i] = ops::dot(q.data(), keys.data() + i * stride,
                                        dim) *
@@ -331,21 +469,38 @@ TEST(Ops, ScaledScoresMatchDotBitwise)
     }
 }
 
-TEST(Ops, WeightedSumMatchesAccumulationLoopBitwise)
+TEST_P(Kernels, WeightedSumMatchesAccumulationLoopBitwise)
 {
+    // dims cross the 8- and 16-wide blocks; rows start 32-byte aligned
+    // or 16 bytes past it, with a stride that keeps or breaks that.
     Rng rng(22);
-    for (int64_t dim : {16, 40}) {
-        const int64_t stride = dim + 5, n = 37;
-        const Tensor w = Tensor::randn({n}, rng);
-        const Tensor rows = Tensor::randn({n * stride}, rng);
-        std::vector<float> got(dim), want(dim, 0.0f);
-        ops::weightedSum(w.data(), rows.data(), dim, stride, n, got.data());
-        for (int64_t i = 0; i < n; ++i)
-            for (int64_t d = 0; d < dim; ++d)
-                want[d] += w.data()[i] * rows.data()[i * stride + d];
-        EXPECT_EQ(std::memcmp(got.data(), want.data(), dim * sizeof(float)),
-                  0)
-            << "dim " << dim;
+    for (int64_t dim : {1, 7, 8, 9, 15, 16, 17, 24, 40}) {
+        for (int64_t stride : {dim, dim + 5, dim + 8 - dim % 8}) {
+            for (int64_t shift : {0, 4}) {
+                for (int64_t n : {0, 1, 37}) {
+                    const Tensor w = Tensor::randn({n}, rng);
+                    std::vector<float> buf(n * stride + 16);
+                    for (float &x : buf)
+                        x = rng.gaussian();
+                    const uintptr_t addr =
+                        reinterpret_cast<uintptr_t>(buf.data());
+                    const float *rows = buf.data() + shift +
+                                        (32 - addr % 32) / sizeof(float);
+                    std::vector<float> got(dim, std::nanf("")),
+                        want(dim, 0.0f);
+                    kernels().weightedSum(w.data(), rows, dim, stride, n,
+                                          got.data());
+                    for (int64_t i = 0; i < n; ++i)
+                        for (int64_t d = 0; d < dim; ++d)
+                            want[d] += w.data()[i] * rows[i * stride + d];
+                    EXPECT_EQ(std::memcmp(got.data(), want.data(),
+                                          dim * sizeof(float)),
+                              0)
+                        << "dim " << dim << " stride " << stride
+                        << " shift " << shift << " n " << n;
+                }
+            }
+        }
     }
 }
 
