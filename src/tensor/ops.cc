@@ -327,16 +327,13 @@ scaledScoresAvx2(const float *q, const float *keys, int64_t dim,
 }
 
 /**
- * Eight floats at p. kHalves loads them as two 16-byte halves, which
- * never straddle a cache line when p is 16-byte aligned; one 32-byte
- * load at such an address straddles every other line.
+ * Eight floats at p as two 16-byte halves: value rows are only 16-byte
+ * aligned, and one 32-byte load at such an address straddles every
+ * other cache line (1.4x slower than the portable loop).
  */
-template <bool kHalves>
 SPECONTEXT_AVX2 inline __m256
-load8Avx2(const float *p)
+load8HalvesAvx2(const float *p)
 {
-    if (!kHalves)
-        return _mm256_loadu_ps(p);
     return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm_loadu_ps(p)),
                                 _mm_loadu_ps(p + 4), 1);
 }
@@ -345,10 +342,9 @@ load8Avx2(const float *p)
  * Sixteen output floats per pass over the rows in two registers, then
  * eight, then a masked tail; each lane adds w[i] * row i in ascending i.
  */
-template <bool kHalves>
 SPECONTEXT_AVX2 void
-weightedSumRowsAvx2(const float *w, const float *rows, int64_t dim,
-                    int64_t stride, int64_t n, float *out)
+weightedSumAvx2(const float *w, const float *rows, int64_t dim,
+                int64_t stride, int64_t n, float *out)
 {
     int64_t d0 = 0;
     for (; d0 + 16 <= dim; d0 += 16) {
@@ -356,10 +352,9 @@ weightedSumRowsAvx2(const float *w, const float *rows, int64_t dim,
         for (int64_t i = 0; i < n; ++i) {
             const __m256 wi = _mm256_broadcast_ss(w + i);
             const float *r = rows + i * stride + d0;
-            acc0 = _mm256_add_ps(acc0,
-                                 _mm256_mul_ps(wi, load8Avx2<kHalves>(r)));
-            acc1 = _mm256_add_ps(
-                acc1, _mm256_mul_ps(wi, load8Avx2<kHalves>(r + 8)));
+            acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(wi, load8HalvesAvx2(r)));
+            acc1 = _mm256_add_ps(acc1,
+                                 _mm256_mul_ps(wi, load8HalvesAvx2(r + 8)));
         }
         _mm256_storeu_ps(out + d0, acc0);
         _mm256_storeu_ps(out + d0 + 8, acc1);
@@ -374,21 +369,6 @@ weightedSumRowsAvx2(const float *w, const float *rows, int64_t dim,
                                        rows + i * stride + d0, live)));
         _mm256_maskstore_ps(out + d0, live, acc);
     }
-}
-
-/**
- * Value rows of a KV cache sit wherever the allocator put them; rows
- * that are not all 32-byte aligned load in halves (at a 16-byte offset,
- * whole 32-byte loads ran 1.4x slower than the portable loop).
- */
-SPECONTEXT_AVX2 void
-weightedSumAvx2(const float *w, const float *rows, int64_t dim,
-                int64_t stride, int64_t n, float *out)
-{
-    if (reinterpret_cast<uintptr_t>(rows) % 32 == 0 && stride % 8 == 0)
-        weightedSumRowsAvx2<false>(w, rows, dim, stride, n, out);
-    else
-        weightedSumRowsAvx2<true>(w, rows, dim, stride, n, out);
 }
 
 #undef SPECONTEXT_AVX2
